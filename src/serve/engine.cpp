@@ -46,7 +46,6 @@ ServeOptions prepare_options(ServeOptions opt) {
     throw std::invalid_argument("Engine: at least one tenant required");
   }
   opt.scheduler.tenant_shares.clear();
-  opt.scheduler.tenant_shares.reserve(opt.tenants.size());
   for (const auto& [name, cfg] : opt.tenants) {
     if (!(cfg.share > 0.0) || !std::isfinite(cfg.share)) {
       throw std::invalid_argument("Engine: tenant \"" + name +
@@ -55,6 +54,16 @@ ServeOptions prepare_options(ServeOptions opt) {
     opt.scheduler.tenant_shares.push_back(cfg.share);
   }
   return opt;
+}
+
+/// The registry entry for `key` in `map` (the engine's graph or model
+/// registry, under mu_); throws std::invalid_argument(`unknown`) when
+/// there is none.
+template <class Map>
+auto& find_or_throw(Map& map, std::uint64_t key, const char* unknown) {
+  const auto it = map.find(key);
+  if (it == map.end()) throw std::invalid_argument(unknown);
+  return it->second;
 }
 
 }  // namespace
@@ -70,36 +79,14 @@ Engine::Engine(ServeOptions opt)
   if (opt_.num_workers < 1) {
     throw std::invalid_argument("Engine: at least one worker required");
   }
-  tenant_names_.reserve(opt_.tenants.size());
-  tenant_cfgs_.reserve(opt_.tenants.size());
-  stats_.tenants.reserve(opt_.tenants.size());
   for (const auto& [name, cfg] : opt_.tenants) {
-    tenant_names_.push_back(name);
-    tenant_cfgs_.push_back(cfg);
-    TenantServeStats ts;
-    ts.tenant = name;
-    ts.share = cfg.share;
-    stats_.tenants.push_back(std::move(ts));
+    stats_.tenants.push_back({.tenant = name, .share = cfg.share});
   }
-  stats_.devices.reserve(opt_.devices.size());
-  for (const auto& dev : opt_.devices) {
-    DeviceServeStats ds;
-    ds.device = dev.name;
-    stats_.devices.push_back(std::move(ds));
-  }
+  for (const auto& dev : opt_.devices) stats_.devices.push_back({.device = dev.name});
   if (!opt_.start_paused) start();
 }
 
 Engine::~Engine() { shutdown(); }
-
-std::uint32_t Engine::tenant_index(const std::string& name) const {
-  const auto it = std::lower_bound(tenant_names_.begin(), tenant_names_.end(), name);
-  if (it == tenant_names_.end() || *it != name) {
-    throw std::invalid_argument("Engine: unknown tenant \"" + name +
-                                "\" (not in ServeOptions::tenants)");
-  }
-  return static_cast<std::uint32_t>(it - tenant_names_.begin());
-}
 
 GraphId Engine::register_graph(const Csr& a) {
   a.validate();
@@ -115,13 +102,7 @@ GraphId Engine::register_graph(const Csr& a) {
 
   // Shard planning happens outside the lock: it is an O(nnz) pass per
   // shard and only runs once per distinct oversized operand.
-  std::size_t capacity = opt_.sharding.device_capacity_bytes;
-  if (capacity == 0) {
-    capacity = opt_.devices.front().dram_bytes;
-    for (const auto& dev : opt_.devices) {
-      capacity = std::min(capacity, dev.dram_bytes);
-    }
-  }
+  const std::size_t capacity = device_capacity();
   std::shared_ptr<const ShardPlan> shards;
   const std::size_t bytes = csr_bytes(a);
   if (bytes > capacity) {
@@ -155,6 +136,15 @@ GraphId Engine::register_graph(const Csr& a) {
   return GraphId{key};
 }
 
+std::size_t Engine::device_capacity() const {
+  if (opt_.sharding.device_capacity_bytes != 0) {
+    return opt_.sharding.device_capacity_bytes;
+  }
+  std::size_t capacity = opt_.devices.front().dram_bytes;
+  for (const auto& dev : opt_.devices) capacity = std::min(capacity, dev.dram_bytes);
+  return capacity;
+}
+
 std::shared_ptr<const Csr> Engine::effective_graph(const RegisteredGraph& g) {
   if (g.overlay == nullptr) return g.csr;
   return std::make_shared<const Csr>(g.overlay->materialize(*g.csr));
@@ -162,30 +152,21 @@ std::shared_ptr<const Csr> Engine::effective_graph(const RegisteredGraph& g) {
 
 std::shared_ptr<const Csr> Engine::graph(GraphId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = graphs_.find(id.key);
-  if (it == graphs_.end()) {
-    throw std::invalid_argument("Engine::graph: unknown graph handle");
-  }
-  return effective_graph(it->second);
+  return effective_graph(
+      find_or_throw(graphs_, id.key, "Engine::graph: unknown graph handle"));
 }
 
 GraphFingerprint Engine::graph_fingerprint(GraphId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = graphs_.find(id.key);
-  if (it == graphs_.end()) {
-    throw std::invalid_argument(
-        "Engine::graph_fingerprint: unknown graph handle");
-  }
-  return it->second.fp;
+  return find_or_throw(graphs_, id.key,
+                       "Engine::graph_fingerprint: unknown graph handle")
+      .fp;
 }
 
 std::shared_ptr<const ShardPlan> Engine::shard_plan(GraphId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = graphs_.find(id.key);
-  if (it == graphs_.end()) {
-    throw std::invalid_argument("Engine::shard_plan: unknown graph handle");
-  }
-  return it->second.shards;
+  return find_or_throw(graphs_, id.key, "Engine::shard_plan: unknown graph handle")
+      .shards;
 }
 
 ModelId Engine::register_model(GraphId graph, ModelSpec spec) {
@@ -193,11 +174,9 @@ ModelId Engine::register_model(GraphId graph, ModelSpec spec) {
   std::uint64_t graph_key = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = graphs_.find(graph.key);
-    if (it == graphs_.end()) {
-      throw std::invalid_argument("Engine::register_model: unknown graph handle");
-    }
-    if (it->second.shards != nullptr) {
+    const RegisteredGraph& rg = find_or_throw(
+        graphs_, graph.key, "Engine::register_model: unknown graph handle");
+    if (rg.shards != nullptr) {
       throw std::invalid_argument(
           "Engine::register_model: graph is sharded across devices; model "
           "serving needs the whole operand resident on one device");
@@ -205,8 +184,8 @@ ModelId Engine::register_model(GraphId graph, ModelSpec spec) {
     // Models bind to the graph's *current* state: the effective CSR and
     // the version-bearing key, so an update (which rebinds by matching
     // this key) can find and recompile them.
-    g = effective_graph(it->second);
-    graph_key = it->second.current_key;
+    g = effective_graph(rg);
+    graph_key = rg.current_key;
   }
   // Compile (and content-hash the parameters) outside the lock. The
   // snapshot shared_ptr keeps the operand alive and consistent even if an
@@ -233,171 +212,121 @@ ModelId Engine::register_model(GraphId graph, ModelSpec spec) {
 
 std::shared_ptr<const RegisteredModel> Engine::model(ModelId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = models_.find(id.key);
-  if (it == models_.end()) {
-    throw std::invalid_argument("Engine::model: unknown model handle");
-  }
-  return it->second;
+  return find_or_throw(models_, id.key, "Engine::model: unknown model handle");
 }
 
 Ticket Engine::submit(GraphId id, DenseMatrix b, const SubmitOptions& options) {
   auto state = std::make_shared<detail::RequestState>();
+  std::unique_lock<std::mutex> lock(mu_);
+  const RegisteredGraph& g =
+      find_or_throw(graphs_, id.key, "Engine::submit: unknown graph handle");
+  if (b.rows() != g.csr->cols) {
+    throw std::invalid_argument("Engine::submit: B must have A.cols rows");
+  }
+  if (b.cols() <= 0) {
+    throw std::invalid_argument("Engine::submit: B must have at least one column");
+  }
+  // Snapshot the graph's current state and identity: the version-bearing
+  // key means requests straddling an apply_update land in different
+  // scheduler queues (never one batch), and the captured base/overlay/
+  // shards stay valid however the registry moves on.
+  state->graph_key = g.current_key;
+  state->graph = g.csr;
+  state->overlay = g.overlay;
+  state->shards = g.shards;
   state->reduce = options.reduce;
-  state->priority = options.priority;
-  state->tenant = tenant_index(options.tenant);
-  state->tenant_name = options.tenant;
-  state->deadline_ms = options.deadline_ms;
-  bool shed = false;
-  ShedReason reason = ShedReason::None;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutting_down_) {
-      throw std::runtime_error("Engine::submit: engine is shut down");
-    }
-    auto it = graphs_.find(id.key);
-    if (it == graphs_.end()) {
-      throw std::invalid_argument("Engine::submit: unknown graph handle");
-    }
-    // Snapshot the graph's current state and identity: the version-
-    // bearing key means requests straddling an apply_update land in
-    // different scheduler queues (never one batch), and the captured
-    // base/overlay/shards stay valid however the registry moves on.
-    state->graph_key = it->second.current_key;
-    state->graph = it->second.csr;
-    state->overlay = it->second.overlay;
-    state->shards = it->second.shards;
-    if (b.rows() != state->graph->cols) {
-      throw std::invalid_argument("Engine::submit: B must have A.cols rows");
-    }
-    if (b.cols() <= 0) {
-      throw std::invalid_argument("Engine::submit: B must have at least one column");
-    }
-    if (b.layout() != kernels::Layout::RowMajor) {
-      throw std::invalid_argument("Engine::submit: B must be row-major");
-    }
-    state->b = std::move(b);
-    state->sched_width = state->b.cols();
-    const AdmissionDecision d = admission_.admit(
-        options.priority, scheduler_.pending(), tenant_cfgs_[state->tenant],
-        options.deadline_ms, virtual_now_ms_);
-    if (!d.admitted) {
-      shed = true;
-      reason = d.reason;
-      ++stats_.shed;
-      ++stats_.tenants[state->tenant].shed;
-    } else {
-      state->seq = next_seq_++;
-      scheduler_.enqueue({state->seq, state->graph_key, state->b.cols(),
-                          options.reduce, options.priority, /*model=*/false,
-                          state->tenant});
-      pending_states_.emplace(state->seq, state);
-      ++stats_.submitted;
-      ++stats_.tenants[state->tenant].submitted;
-    }
-  }
-  if (shed) {
-    // The ticket contract for shed requests: complete immediately with a
-    // typed status; wait() returns rather than throwing. Drop the feature
-    // matrix now — shedding must bound memory even while callers hold the
-    // ticket.
-    state->b = DenseMatrix();
-    state->graph.reset();
-    state->overlay.reset();
-    state->shards.reset();
-    RequestResult res;
-    res.status = RequestStatus::Shed;
-    res.shed_reason = reason;
-    res.priority = options.priority;
-    res.tenant = options.tenant;
-    res.deadline_ms = options.deadline_ms;
-    res.deadline_met = reason != ShedReason::DeadlineExceeded;
-    res.batch_size = 0;
-    state->fulfill(std::move(res));
-    return Ticket(state);
-  }
-  cv_.notify_one();
-  return Ticket(state);
+  state->sched_width = b.cols();
+  state->b = std::move(b);
+  return enqueue_or_shed(std::move(state), options, std::move(lock));
 }
 
 Ticket Engine::submit_model(ModelId id, DenseMatrix features,
                             const SubmitOptions& options) {
   auto state = std::make_shared<detail::RequestState>();
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::shared_ptr<const RegisteredModel>& m = find_or_throw(
+      models_, id.key, "Engine::submit_model: unknown model handle");
+  if (features.rows() != m->plan.num_nodes) {
+    throw std::invalid_argument(
+        "Engine::submit_model: features must have one row per graph node");
+  }
+  if (features.cols() != m->plan.in_feats) {
+    throw std::invalid_argument(
+        "Engine::submit_model: feature width must match the model's input "
+        "width");
+  }
+  state->model = m;
+  state->graph = m->graph;
+  state->graph_key = m->plan.graph_key;
+  state->reduce = m->spec.reduce;
+  // One ticket covers the whole forward pass; the model's summed
+  // per-layer SpMM width is what the pass costs the queue's DRR budget,
+  // so model and plain traffic compete on equal (width) terms.
+  state->sched_width = m->plan.total_spmm_width;
+  state->b = std::move(features);
+  return enqueue_or_shed(std::move(state), options, std::move(lock));
+}
+
+Ticket Engine::enqueue_or_shed(std::shared_ptr<detail::RequestState> state,
+                               const SubmitOptions& options,
+                               std::unique_lock<std::mutex> lock) {
+  // Tenant index = position in the sorted roster (the scheduler's order).
+  const auto tenant = opt_.tenants.find(options.tenant);
+  if (tenant == opt_.tenants.end()) {
+    throw std::invalid_argument("Engine: unknown tenant \"" + options.tenant +
+                                "\" (not in ServeOptions::tenants)");
+  }
   state->priority = options.priority;
-  state->tenant = tenant_index(options.tenant);
+  state->tenant =
+      static_cast<std::uint32_t>(std::distance(opt_.tenants.begin(), tenant));
   state->tenant_name = options.tenant;
   state->deadline_ms = options.deadline_ms;
-  bool shed = false;
-  ShedReason reason = ShedReason::None;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutting_down_) {
-      throw std::runtime_error("Engine::submit_model: engine is shut down");
-    }
-    auto it = models_.find(id.key);
-    if (it == models_.end()) {
-      throw std::invalid_argument("Engine::submit_model: unknown model handle");
-    }
-    const std::shared_ptr<const RegisteredModel>& m = it->second;
-    if (features.rows() != m->plan.num_nodes) {
-      throw std::invalid_argument(
-          "Engine::submit_model: features must have one row per graph node");
-    }
-    if (features.cols() != m->plan.in_feats) {
-      throw std::invalid_argument(
-          "Engine::submit_model: feature width must match the model's input "
-          "width");
-    }
-    if (features.layout() != kernels::Layout::RowMajor) {
-      throw std::invalid_argument(
-          "Engine::submit_model: features must be row-major");
-    }
-    state->model = m;
-    state->graph = m->graph;
-    state->graph_key = m->plan.graph_key;
-    state->reduce = m->spec.reduce;
-    state->b = std::move(features);
-    state->sched_width = m->plan.total_spmm_width;
-    const AdmissionDecision d = admission_.admit(
-        options.priority, scheduler_.pending(), tenant_cfgs_[state->tenant],
-        options.deadline_ms, virtual_now_ms_);
-    if (!d.admitted) {
-      shed = true;
-      reason = d.reason;
-      ++stats_.shed;
-      ++stats_.tenants[state->tenant].shed;
-    } else {
-      state->seq = next_seq_++;
-      // One ticket covers the whole forward pass; the model's summed
-      // per-layer SpMM width is what the pass costs the queue's DRR
-      // budget, so model and plain traffic compete on equal (width) terms.
-      scheduler_.enqueue({state->seq, state->graph_key,
-                          state->model->plan.total_spmm_width, state->reduce,
-                          options.priority, /*model=*/true, state->tenant});
-      pending_states_.emplace(state->seq, state);
-      ++stats_.submitted;
-      ++stats_.tenants[state->tenant].submitted;
-      ++stats_.model_requests;
-    }
+  if (state->b.layout() != kernels::Layout::RowMajor) {
+    throw std::invalid_argument("Engine: the dense operand must be row-major");
   }
-  if (shed) {
-    // Same ticket contract as submit: complete immediately, drop the
-    // payload so shedding bounds memory.
-    state->b = DenseMatrix();
-    state->graph.reset();
-    state->model.reset();
-    RequestResult res;
-    res.status = RequestStatus::Shed;
-    res.shed_reason = reason;
-    res.priority = options.priority;
-    res.tenant = options.tenant;
-    res.deadline_ms = options.deadline_ms;
-    res.deadline_met = reason != ShedReason::DeadlineExceeded;
-    res.batch_size = 0;
-    state->fulfill(std::move(res));
-    return Ticket(state);
+  if (!std::isfinite(options.deadline_ms)) {
+    throw std::invalid_argument(
+        "Engine: deadline_ms must be finite (<= 0 means no deadline)");
   }
-  cv_.notify_one();
-  return Ticket(state);
+  if (shutting_down_) {
+    throw std::runtime_error("Engine: engine is shut down");
+  }
+  const AdmissionDecision d =
+      admission_.admit(options.priority, scheduler_.pending(),
+                       tenant->second, options.deadline_ms,
+                       virtual_now_ms_);
+  TenantServeStats& ts = stats_.tenants[state->tenant];
+  if (d.admitted) {
+    state->seq = next_seq_++;
+    scheduler_.enqueue({state->seq, state->graph_key, state->sched_width, state->reduce,
+                        state->priority, state->model != nullptr, state->tenant});
+    pending_states_.emplace(state->seq, state);
+    ++stats_.submitted;
+    ++ts.submitted;
+    if (state->model != nullptr) ++stats_.model_requests;
+    lock.unlock();
+    cv_.notify_one();
+    return Ticket(std::move(state));
+  }
+  ++stats_.shed;
+  ++ts.shed;
+  lock.unlock();
+  // The ticket contract for shed requests: complete immediately with a
+  // typed status; wait() returns rather than throwing. The ticket gets a
+  // fresh state, so the request's payload (features, graph snapshot) is
+  // freed on return — shedding must bound memory even while callers hold
+  // the ticket.
+  RequestResult res;
+  res.status = RequestStatus::Shed;
+  res.shed_reason = d.reason;
+  res.priority = options.priority;
+  res.tenant = options.tenant;
+  res.deadline_ms = options.deadline_ms;
+  res.deadline_met = d.reason != ShedReason::DeadlineExceeded;
+  res.batch_size = 0;
+  auto shed = std::make_shared<detail::RequestState>();
+  shed->fulfill(std::move(res));
+  return Ticket(std::move(shed));
 }
 
 UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
@@ -409,56 +338,37 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
   if (shutting_down_) {
     throw std::runtime_error("Engine::apply_update: engine is shut down");
   }
-  auto it = graphs_.find(id.key);
-  if (it == graphs_.end()) {
-    throw std::invalid_argument("Engine::apply_update: unknown graph handle");
-  }
-  RegisteredGraph& g = it->second;
+  RegisteredGraph& g =
+      find_or_throw(graphs_, id.key, "Engine::apply_update: unknown graph handle");
   const std::uint64_t old_key = g.current_key;
 
-  // Fold the batch (throws on a contract violation before any state
-  // mutates — strong guarantee).
-  std::shared_ptr<const DeltaOverlay> overlay =
-      DeltaOverlay::apply(*g.csr, g.overlay.get(), batch);
-
+  // Compute the graph's next state fully before committing anything, so a
+  // contract violation (DeltaOverlay::apply throws before any state
+  // mutates) or a capacity failure below leaves the registry untouched.
+  RegisteredGraph next = g;
+  next.overlay = DeltaOverlay::apply(*g.csr, g.overlay.get(), batch);
+  next.fp.version += 1;
   UpdateReport rep;
-  GraphFingerprint fp = g.fp;
-  fp.version += 1;
-  rep.version = fp.version;
+  rep.version = next.fp.version;
+  std::vector<std::uint64_t> stale_keys;  // plan-cache keys to invalidate
 
+  const std::shared_ptr<const DeltaOverlay> overlay = next.overlay;
   const bool compact =
       static_cast<double>(overlay->overlay_nnz()) >
       opt_.delta.compact_nnz_fraction * static_cast<double>(g.csr->nnz());
-
-  std::size_t capacity = opt_.sharding.device_capacity_bytes;
-  if (capacity == 0) {
-    capacity = opt_.devices.front().dram_bytes;
-    for (const auto& dev : opt_.devices) {
-      capacity = std::min(capacity, dev.dram_bytes);
-    }
-  }
-
-  // Compute the graph's next state fully before committing anything, so a
-  // capacity failure below leaves the registry untouched.
-  std::shared_ptr<const Csr> new_csr = g.csr;
-  std::shared_ptr<const DeltaOverlay> new_overlay = overlay;
-  std::shared_ptr<const ShardPlan> new_shards = g.shards;
-  std::vector<std::uint64_t> stale_keys;  // plan-cache keys to invalidate
-
   if (compact) {
     // Fold the overlay into a fresh CSR; the structural fingerprint
     // fields refresh here (the O(nnz) pass is being paid anyway) while
     // the bumped version carries forward, keeping the compacted identity
     // distinct from any static registration of the same content.
-    auto compacted = std::make_shared<const Csr>(overlay->materialize(*g.csr));
-    const GraphFingerprint structural = fingerprint(*compacted);
-    fp = structural;
-    fp.version = rep.version;
-    new_csr = std::move(compacted);
-    new_overlay = nullptr;
+    next.csr = std::make_shared<const Csr>(overlay->materialize(*g.csr));
+    next.fp = fingerprint(*next.csr);
+    next.fp.version = rep.version;
+    next.overlay = nullptr;
     rep.compacted = true;
   }
 
+  const std::size_t capacity = device_capacity();
   if (g.shards != nullptr) {
     // Sharded path: the row partition stays fixed between compactions and
     // only the touched slices rebuild (their content-addressed keys roll
@@ -466,12 +376,7 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
     // scratch, like registration would.
     auto plan = std::make_shared<ShardPlan>();
     if (compact) {
-      *plan = plan_shards(*new_csr, static_cast<int>(opt_.devices.size()));
-      if (plan->max_shard_bytes() > capacity) {
-        throw std::runtime_error(
-            "Engine::apply_update: compacted operand does not fit even "
-            "sharded " + std::to_string(opt_.devices.size()) + " ways");
-      }
+      *plan = plan_shards(*next.csr, static_cast<int>(opt_.devices.size()));
       for (const auto& s : g.shards->shards) stale_keys.push_back(s.key);
       rep.shards_replanned = plan->num_shards();
     } else {
@@ -484,16 +389,16 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
                                   s.row_end);
         ++rep.shards_replanned;
       }
-      if (plan->max_shard_bytes() > capacity) {
-        throw std::runtime_error(
-            "Engine::apply_update: a grown shard no longer fits its "
-            "device; lower DeltaOptions::compact_nnz_fraction");
-      }
     }
-    plan->graph_key = fp.key();
-    new_shards = std::move(plan);
+    if (plan->max_shard_bytes() > capacity) {
+      throw std::runtime_error(
+          "Engine::apply_update: a shard of the updated operand no longer "
+          "fits its device (lower DeltaOptions::compact_nnz_fraction)");
+    }
+    plan->graph_key = next.fp.key();
+    next.shards = std::move(plan);
   } else {
-    if (csr_bytes(*new_csr) > capacity && compact) {
+    if (compact && csr_bytes(*next.csr) > capacity) {
       throw std::runtime_error(
           "Engine::apply_update: compacted operand exceeds the device "
           "capacity (updates cannot re-shard an unsharded graph)");
@@ -505,11 +410,8 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
   }
 
   // Commit.
-  g.csr = std::move(new_csr);
-  g.overlay = std::move(new_overlay);
-  g.shards = std::move(new_shards);
-  g.fp = fp;
-  g.current_key = fp.key();
+  next.current_key = next.fp.key();
+  g = std::move(next);
   rep.overlay_nnz = g.overlay == nullptr ? 0 : g.overlay->overlay_nnz();
 
   for (const std::uint64_t k : stale_keys) {
@@ -519,11 +421,13 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
   // Rebind models compiled against the pre-update state: recompile over
   // the new effective CSR under the same registry key, so ModelId handles
   // stay stable. In-flight model tickets hold their own RegisteredModel
-  // (and with it the old CSR snapshot) and finish against it.
-  const std::shared_ptr<const Csr> effective = effective_graph(g);
+  // (and with it the old CSR snapshot) and finish against it. The O(nnz)
+  // effective CSR is materialized only when some model needs it.
+  std::shared_ptr<const Csr> effective;
   for (auto& kv : models_) {
     std::shared_ptr<const RegisteredModel>& m = kv.second;
     if (m->plan.graph_key != old_key) continue;
+    if (effective == nullptr) effective = effective_graph(g);
     ModelPlan plan = compile_model(g.current_key, *effective, m->spec);
     m = std::make_shared<const RegisteredModel>(
         RegisteredModel{std::move(plan), m->spec, effective});
@@ -539,7 +443,6 @@ void Engine::start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_) return;
   started_ = true;
-  workers_.reserve(static_cast<std::size_t>(opt_.num_workers));
   for (int i = 0; i < opt_.num_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
@@ -569,6 +472,10 @@ EngineStats Engine::stats() const {
   st.plan_mispredicts = ps.mispredicts;
   st.plan_hybrid_builds = ps.hybrid_builds;
   st.plan_invalidations = ps.invalidations;
+  for (const DeviceServeStats& ds : st.devices) {
+    st.plan_cache_hits += ds.plan_cache_hits;
+    st.plan_cache_misses += ds.plan_cache_misses;
+  }
   return st;
 }
 
@@ -587,7 +494,6 @@ void Engine::worker_loop() {
       if (scheduler_.empty()) return;  // shutting down and fully drained
 
       const std::vector<std::uint64_t> seqs = scheduler_.next_batch();
-      batch.reserve(seqs.size());
       for (const std::uint64_t seq : seqs) {
         auto it = pending_states_.find(seq);
         batch.push_back(std::move(it->second));
@@ -598,10 +504,6 @@ void Engine::worker_loop() {
     if (batch.front()->model != nullptr) {
       // The scheduler ships model requests as singleton batches.
       execute_model(std::move(batch.front()), device_index);
-    } else if (batch.front()->shards != nullptr) {
-      // A sharded graph spans the whole device group; the round-robin
-      // device pick does not apply.
-      execute_sharded_batch(std::move(batch));
     } else {
       execute_batch(std::move(batch), device_index);
     }
@@ -609,6 +511,14 @@ void Engine::worker_loop() {
 }
 
 namespace {
+
+/// Copy the rows x cols block of `src` at (sr, sc) into `dst` at (dr, dc).
+void copy_block(const DenseMatrix& src, index_t sr, index_t sc, DenseMatrix& dst,
+                index_t dr, index_t dc, index_t rows, index_t cols) {
+  for (index_t i = 0; i < rows; ++i) {
+    for (index_t j = 0; j < cols; ++j) dst.at(dr + i, dc + j) = src.at(sr + i, sc + j);
+  }
+}
 
 /// Column-wise coalesce of a batch's feature matrices:
 /// B_all = [B_1 | B_2 | ...]. Returns a pointer into `storage` (or the
@@ -621,255 +531,202 @@ const DenseMatrix* coalesce_features(
   *storage = DenseMatrix(b_rows, total_n);
   index_t col0 = 0;
   for (const auto& r : batch) {
-    const index_t n_r = r->b.cols();
-    for (index_t i = 0; i < b_rows; ++i) {
-      for (index_t j = 0; j < n_r; ++j) {
-        storage->at(i, col0 + j) = r->b.at(i, j);
-      }
-    }
-    col0 += n_r;
+    copy_block(r->b, 0, 0, *storage, 0, col0, b_rows, r->b.cols());
+    col0 += r->b.cols();
   }
   return storage;
+}
+
+/// One contiguous row range of a batch's output and what running and
+/// pricing it takes. The CSR is borrowed from the batch's request
+/// snapshot (the registered graph or one of its shard slices).
+struct RowPart {
+  const Csr* csr;
+  /// First output row the part's rows land at.
+  index_t row_begin;
+  /// Pending update rows to patch over the part's output, or nullptr.
+  const DeltaOverlay* overlay;
+  PlanKey key;
+  std::size_t device;
+  /// B rows the part must gather from peer devices before it runs.
+  index_t halo_cols;
+};
+
+/// The fields every executed request's result shares: status, service
+/// class, tenant, and its deadline judged on the batch's completion stamp.
+RequestResult finished_result(const detail::RequestState& r, double completed_at) {
+  RequestResult res;
+  res.status = RequestStatus::Ok;
+  res.priority = r.priority;
+  res.tenant = r.tenant_name;
+  res.completed_at_ms = completed_at;
+  res.deadline_ms = r.deadline_ms;
+  res.deadline_met = r.deadline_ms <= 0.0 || completed_at <= r.deadline_ms;
+  return res;
 }
 
 }  // namespace
 
 void Engine::execute_batch(std::vector<std::shared_ptr<detail::RequestState>> batch,
                            std::size_t device_index) {
-  const gpusim::DeviceSpec& dev = opt_.devices[device_index];
-  const Csr& a = *batch.front()->graph;
-  const ReduceKind reduce = batch.front()->reduce;
+  const detail::RequestState& head = *batch.front();
+  const Csr& a = *head.graph;
+  const ReduceKind reduce = head.reduce;
 
   index_t total_n = 0;
   for (const auto& r : batch) total_n += r->b.cols();
   DenseMatrix coalesced;
   const DenseMatrix* b_all = coalesce_features(batch, a.cols, total_n, &coalesced);
 
-  // The lease pins the plan for the duration of the batch: an in-flight
-  // plan is never evicted, so concurrent same-shape batches hit.
-  const PlanKey key{batch.front()->graph_key, dev.name, total_n, reduce};
-  PlanLease lease = plan_cache_.acquire(key, a, dev);
-  const bool hit = lease.hit();
-  const auto plan = lease.plan();
-  // A cold miss pays for the selection itself: the sweep's profiling runs
-  // beyond the winner (0 under the default Predict mode). Hits ride the
-  // already-paid selection.
-  const double build_ms = hit ? 0.0 : plan->build_ms;
-
-  DenseMatrix c_all(a.rows, total_n);
-  kernels::spmm_host_parallel(a, *b_all, c_all, reduce);
-
-  // Dynamic overlay: touched rows' outputs are recomputed from their
-  // post-update (canonical) form and overwrite the base kernel's rows.
-  // Overlay rows are complete replacements, so this is bitwise identical
-  // to running the materialized CSR — the patch rows run the same
-  // per-row accumulation order compaction would store. The plan (and its
-  // modelled time) stays priced on the base: the overlay is bounded by
-  // the compaction fraction, so the base shape dominates.
-  if (const DeltaOverlay* ov = batch.front()->overlay.get()) {
-    const Csr& patch = ov->patch();
-    DenseMatrix c_patch(patch.rows, total_n);
-    kernels::spmm_host_parallel(patch, *b_all, c_patch, reduce);
-    const std::vector<index_t>& prows = ov->rows();
-    for (index_t i = 0; i < patch.rows; ++i) {
-      for (index_t j = 0; j < total_n; ++j) {
-        c_all.at(prows[static_cast<std::size_t>(i)], j) = c_patch.at(i, j);
-      }
+  // An unsharded graph is one part covering every row on the round-robin
+  // device; a sharded graph is one part per shard, shard i on devices[i]
+  // under its shard-qualified key (its slice already holds the effective
+  // content, so it carries no overlay).
+  std::vector<RowPart> parts;
+  if (head.shards == nullptr) {
+    parts.push_back({&a, 0, head.overlay.get(),
+                     {head.graph_key, opt_.devices[device_index].name, total_n, reduce},
+                     device_index, 0});
+  } else {
+    for (const GraphShard& s : head.shards->shards) {
+      const auto dev = static_cast<std::size_t>(s.index);
+      parts.push_back({&s.csr, s.row_begin, nullptr,
+                       {s.key, opt_.devices[dev].name, total_n, reduce, s.index},
+                       dev, s.halo_cols});
     }
   }
 
-  // Account the batch before fulfilling tickets: once a ticket reads
-  // ready, its batch is visible in stats(). completed_at is the device's
-  // cumulative modelled time including this batch — the virtual clock
-  // latency percentiles are computed over.
-  double completed_at = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DeviceServeStats& ds = stats_.devices[device_index];
-    ds.requests += batch.size();
-    ds.batches += 1;
-    ds.modelled_ms += plan->modelled_ms + build_ms;
-    completed_at = ds.modelled_ms;
-    virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
-    (hit ? ds.plan_cache_hits : ds.plan_cache_misses) += 1;
-    stats_.completed += batch.size();
-    stats_.batches += 1;
-    if (batch.size() > 1) stats_.coalesced_requests += batch.size();
-    (hit ? stats_.plan_cache_hits : stats_.plan_cache_misses) += 1;
-    stats_.modelled_ms += plan->modelled_ms + build_ms;
-    stats_.plan_build_ms += build_ms;
-    for (const auto& r : batch) {
-      TenantServeStats& ts = stats_.tenants[r->tenant];
-      ++ts.completed;
-      ts.served_width += static_cast<std::uint64_t>(r->sched_width);
-      if (r->deadline_ms > 0.0 && completed_at > r->deadline_ms) {
-        ++stats_.deadline_missed;
+  DenseMatrix c_all;  // allocated once part 0's plan is in hand, below
+  std::vector<DeviceCharge> charges;
+  double gather_total_ms = 0.0;
+  double makespan_ms = 0.0;
+  std::shared_ptr<const CachedPlan> plan0;  // names the batch's algo/steps
+  bool all_hit = true;
+  for (const RowPart& p : parts) {
+    // The lease pins the part's plan while its kernel runs (an in-flight
+    // plan is never evicted, so concurrent same-shape batches hit) and
+    // drops before any ticket can wake, so a caller that quiesces the
+    // engine and then calls apply_update gets deterministic targeted
+    // invalidation.
+    const PlanLease lease =
+        plan_cache_.acquire(p.key, *p.csr, opt_.devices[p.device]);
+    if (plan0 == nullptr) {
+      // Allocating the output only now keeps a cold plan build's
+      // temporaries from landing above it in the heap: allocated before
+      // the build, it cost the cold-plan benchmark workload about 3 ms
+      // of p50 latency and 20 MiB of peak RSS.
+      plan0 = lease.plan();
+      c_all = DenseMatrix(a.rows, total_n);
+    }
+
+    // A part covering every row computes straight into the batch output;
+    // a shard's rows land in their slice of it. Row-parallel SpMM keeps
+    // every row's accumulation order, so the merge is bitwise the
+    // unsharded kernel.
+    if (p.csr->rows == a.rows) {
+      kernels::spmm_host_parallel(*p.csr, *b_all, c_all, reduce);
+    } else {
+      DenseMatrix c_part(p.csr->rows, total_n);
+      kernels::spmm_host_parallel(*p.csr, *b_all, c_part, reduce);
+      copy_block(c_part, 0, 0, c_all, p.row_begin, 0, p.csr->rows, total_n);
+    }
+    // Dynamic overlay: touched rows are recomputed from their post-update
+    // (canonical) form and overwrite the base kernel's rows — bitwise the
+    // materialized CSR, since patch rows run the same per-row
+    // accumulation order compaction would store. The plan stays priced on
+    // the base: the overlay is bounded by the compaction fraction.
+    if (p.overlay != nullptr) {
+      const Csr& patch = p.overlay->patch();
+      DenseMatrix c_patch(patch.rows, total_n);
+      kernels::spmm_host_parallel(patch, *b_all, c_patch, reduce);
+      const std::vector<index_t>& prows = p.overlay->rows();
+      for (index_t i = 0; i < patch.rows; ++i) {
+        copy_block(c_patch, i, 0, c_all, p.row_begin + prows[static_cast<std::size_t>(i)],
+                   0, 1, total_n);
       }
     }
+
+    // Before a shard's kernel can run it gathers the B rows it references
+    // but does not own (its halo columns) from peer devices, priced
+    // against the modelled interconnect and charged to its device clock.
+    // Cold plans charge their selection cost (the sweep's extra profiling
+    // runs) apart from exec_ms, so the makespan stays an execution metric.
+    const double gather_ms =
+        p.halo_cols == 0
+            ? 0.0
+            : static_cast<double>(p.halo_cols) * static_cast<double>(total_n) *
+                  sizeof(value_t) / (opt_.sharding.interconnect_gbps * 1e6);
+    gather_total_ms += gather_ms;
+    const double exec_ms = lease->modelled_ms + gather_ms;
+    makespan_ms = std::max(makespan_ms, exec_ms);
+    const bool hit = lease.hit();
+    all_hit = all_hit && hit;
+    charges.push_back({p.device, exec_ms, hit ? 0.0 : lease->build_ms,
+                       hit ? 1u : 0u, hit ? 0u : 1u});
   }
 
-  // Drop the pin before any waiter can wake: once a ticket's wait()
-  // returns, this batch holds no plan-cache pins, so a caller that
-  // quiesces the engine and then calls apply_update gets deterministic
-  // targeted invalidation (a pinned entry would survive it). The sharded
-  // and model paths already scope their leases per shard / per layer.
-  lease.release();
-
+  const int shards = head.shards == nullptr ? 0 : static_cast<int>(parts.size());
+  const double completed_at = account(batch, charges, gather_total_ms,
+                                      static_cast<std::uint64_t>(shards), 0.0);
   index_t col0 = 0;
   for (const auto& r : batch) {
     const index_t n_r = r->b.cols();
-    RequestResult res;
-    res.c = DenseMatrix(a.rows, n_r);
-    for (index_t i = 0; i < a.rows; ++i) {
-      for (index_t j = 0; j < n_r; ++j) {
-        res.c.at(i, j) = c_all.at(i, col0 + j);
-      }
+    RequestResult res = finished_result(*r, completed_at);
+    if (batch.size() == 1) {
+      res.c = std::move(c_all);
+    } else {
+      res.c = DenseMatrix(a.rows, n_r);
+      copy_block(c_all, 0, col0, res.c, 0, 0, a.rows, n_r);
     }
     col0 += n_r;
-    res.status = RequestStatus::Ok;
-    res.priority = r->priority;
-    res.tenant = r->tenant_name;
-    res.algo = plan->algo;
-    res.plan_steps = plan->steps;
-    res.device = dev.name;
-    res.modelled_ms = plan->modelled_ms * n_r / total_n;
-    res.completed_at_ms = completed_at;
-    res.deadline_ms = r->deadline_ms;
-    res.deadline_met = r->deadline_ms <= 0.0 || completed_at <= r->deadline_ms;
-    res.plan_cache_hit = hit;
+    res.algo = plan0->algo;
+    res.plan_steps = plan0->steps;
+    res.device = opt_.devices[parts.front().device].name;
+    res.modelled_ms = makespan_ms * n_r / total_n;
+    res.plan_cache_hit = all_hit;
     res.batch_size = static_cast<int>(batch.size());
+    res.shards = shards;
     r->fulfill(std::move(res));
   }
 }
 
-void Engine::execute_sharded_batch(
-    std::vector<std::shared_ptr<detail::RequestState>> batch) {
-  const ShardPlan& plan = *batch.front()->shards;
-  const Csr& a = *batch.front()->graph;
-  const ReduceKind reduce = batch.front()->reduce;
-  const int num_shards = plan.num_shards();
-
-  index_t total_n = 0;
-  for (const auto& r : batch) total_n += r->b.cols();
-  DenseMatrix coalesced;
-  const DenseMatrix* b_all = coalesce_features(batch, a.cols, total_n, &coalesced);
-
-  // Scatter: shard i executes on devices[i] — all shards in parallel, each
-  // against its own shard-qualified plan. Before a shard's kernel can run
-  // it must gather the B rows it references but does not own (its halo
-  // columns) from peer devices; that transfer is priced against the
-  // modelled interconnect and charged to the shard's device clock, so
-  // scaling honestly pays for the scatter/gather structure.
-  DenseMatrix c_all(a.rows, total_n);
-  std::vector<double> shard_ms(static_cast<std::size_t>(num_shards), 0.0);
-  std::vector<double> shard_build_ms(static_cast<std::size_t>(num_shards), 0.0);
-  std::vector<bool> shard_hit(static_cast<std::size_t>(num_shards), false);
-  double gather_total_ms = 0.0;
-  SpmmAlgo algo0 = SpmmAlgo::GeSpMM;
-  std::vector<PlanStep> steps0;
-  bool all_hit = true;
-  for (int si = 0; si < num_shards; ++si) {
-    const GraphShard& shard = plan.shards[static_cast<std::size_t>(si)];
-    const gpusim::DeviceSpec& dev = opt_.devices[static_cast<std::size_t>(si)];
-    const PlanKey key{shard.key, dev.name, total_n, reduce, si};
-    const PlanLease lease = plan_cache_.acquire(key, shard.csr, dev);
-    shard_hit[static_cast<std::size_t>(si)] = lease.hit();
-    all_hit = all_hit && lease.hit();
-    if (si == 0) {
-      algo0 = lease->algo;
-      steps0 = lease->steps;
-    }
-
-    // Merge: the shard's rows land directly in their slice of the full
-    // output. Row-parallel SpMM makes this bitwise identical to the
-    // unsharded kernel — same per-row accumulation order, different host.
-    DenseMatrix c_shard(shard.rows(), total_n);
-    kernels::spmm_host_parallel(shard.csr, *b_all, c_shard, reduce);
-    for (index_t i = 0; i < shard.rows(); ++i) {
-      for (index_t j = 0; j < total_n; ++j) {
-        c_all.at(shard.row_begin + i, j) = c_shard.at(i, j);
-      }
-    }
-
-    const double halo_bytes = static_cast<double>(shard.halo_cols) *
-                              static_cast<double>(total_n) * sizeof(value_t);
-    const double gather_ms =
-        halo_bytes / (opt_.sharding.interconnect_gbps * 1e6);
-    gather_total_ms += gather_ms;
-    shard_ms[static_cast<std::size_t>(si)] = lease->modelled_ms + gather_ms;
-    // Cold shard plans charge their selection cost (the sweep's extra
-    // profiling runs) to the shard's device; kept out of shard_ms so the
-    // makespan below stays an execution metric.
-    if (!lease.hit()) shard_build_ms[static_cast<std::size_t>(si)] = lease->build_ms;
-  }
-
-  // Account before fulfilling, like execute_batch. Each shard's device
-  // clock advances by its own shard time; the batch completes when the
-  // slowest participating device does (the makespan the scaling bench
-  // measures).
+double Engine::account(std::span<const std::shared_ptr<detail::RequestState>> batch,
+                       const std::vector<DeviceCharge>& charges,
+                       double gather_ms, std::uint64_t shard_launches,
+                       double fused_saved_ms) {
+  // Account before fulfilling: once a ticket reads ready, its batch is
+  // visible in stats(). Each participating device's clock advances by its
+  // own charge; the batch completes when the busiest of them does — the
+  // virtual-clock stamp latency percentiles and deadlines are judged on.
+  std::lock_guard<std::mutex> lock(mu_);
   double completed_at = 0.0;
-  double makespan_ms = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int si = 0; si < num_shards; ++si) {
-      DeviceServeStats& ds = stats_.devices[static_cast<std::size_t>(si)];
-      ds.requests += batch.size();
-      ds.batches += 1;
-      ds.modelled_ms += shard_ms[static_cast<std::size_t>(si)] +
-                        shard_build_ms[static_cast<std::size_t>(si)];
-      completed_at = std::max(completed_at, ds.modelled_ms);
-      makespan_ms =
-          std::max(makespan_ms, shard_ms[static_cast<std::size_t>(si)]);
-      (shard_hit[static_cast<std::size_t>(si)] ? ds.plan_cache_hits
-                                               : ds.plan_cache_misses) += 1;
-      (shard_hit[static_cast<std::size_t>(si)] ? stats_.plan_cache_hits
-                                               : stats_.plan_cache_misses) += 1;
-      stats_.modelled_ms += shard_ms[static_cast<std::size_t>(si)] +
-                            shard_build_ms[static_cast<std::size_t>(si)];
-      stats_.plan_build_ms += shard_build_ms[static_cast<std::size_t>(si)];
-    }
-    virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
-    stats_.completed += batch.size();
-    stats_.batches += 1;
-    stats_.shard_launches += static_cast<std::uint64_t>(num_shards);
-    stats_.gather_ms += gather_total_ms;
-    if (batch.size() > 1) stats_.coalesced_requests += batch.size();
-    for (const auto& r : batch) {
-      TenantServeStats& ts = stats_.tenants[r->tenant];
-      ++ts.completed;
-      ts.served_width += static_cast<std::uint64_t>(r->sched_width);
-      if (r->deadline_ms > 0.0 && completed_at > r->deadline_ms) {
-        ++stats_.deadline_missed;
-      }
-    }
+  for (const DeviceCharge& c : charges) {
+    DeviceServeStats& ds = stats_.devices[c.device];
+    ds.requests += batch.size();
+    ds.batches += 1;
+    ds.modelled_ms += c.exec_ms + c.build_ms;
+    completed_at = std::max(completed_at, ds.modelled_ms);
+    ds.plan_cache_hits += c.hits;
+    ds.plan_cache_misses += c.misses;
+    stats_.modelled_ms += c.exec_ms + c.build_ms;
+    stats_.plan_build_ms += c.build_ms;
   }
-
-  index_t col0 = 0;
+  virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
+  stats_.completed += batch.size();
+  stats_.batches += 1;
+  if (batch.size() > 1) stats_.coalesced_requests += batch.size();
+  stats_.shard_launches += shard_launches;
+  stats_.gather_ms += gather_ms;
+  stats_.fused_saved_ms += fused_saved_ms;
   for (const auto& r : batch) {
-    const index_t n_r = r->b.cols();
-    RequestResult res;
-    res.c = DenseMatrix(a.rows, n_r);
-    for (index_t i = 0; i < a.rows; ++i) {
-      for (index_t j = 0; j < n_r; ++j) {
-        res.c.at(i, j) = c_all.at(i, col0 + j);
-      }
+    TenantServeStats& ts = stats_.tenants[r->tenant];
+    ++ts.completed;
+    ts.served_width += static_cast<std::uint64_t>(r->sched_width);
+    if (r->deadline_ms > 0.0 && completed_at > r->deadline_ms) {
+      ++stats_.deadline_missed;
     }
-    col0 += n_r;
-    res.status = RequestStatus::Ok;
-    res.priority = r->priority;
-    res.tenant = r->tenant_name;
-    res.algo = algo0;
-    res.plan_steps = steps0;
-    res.device = opt_.devices.front().name;
-    res.modelled_ms = makespan_ms * n_r / total_n;
-    res.completed_at_ms = completed_at;
-    res.deadline_ms = r->deadline_ms;
-    res.deadline_met = r->deadline_ms <= 0.0 || completed_at <= r->deadline_ms;
-    res.plan_cache_hit = all_hit;
-    res.batch_size = static_cast<int>(batch.size());
-    res.shards = num_shards;
-    r->fulfill(std::move(res));
   }
+  return completed_at;
 }
 
 void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
@@ -884,13 +741,12 @@ void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
   // allocation (ModelPlan::max_width bounds each slot).
   ModelArena arena;
   DenseMatrix h = std::move(state->b);
-  double fused_ms = 0.0;
+  // The device's clock advances by the *fused* pass time (exec_ms) — that
+  // is what serving pays. Cold layer plans charge their selection cost on
+  // top (0 under Predict), kept out of res.modelled_ms.
+  DeviceCharge charge{.device = device_index};
   double composed_ms = 0.0;
-  std::uint64_t layer_hits = 0;
-  std::uint64_t layer_misses = 0;
-  double build_total_ms = 0.0;
-  SpmmAlgo algo = SpmmAlgo::GeSpMM;
-  std::vector<PlanStep> last_steps;
+  std::shared_ptr<const CachedPlan> last;  // compile_model rejects 0 layers
   for (std::size_t l = 0; l < m.plan.layers.size(); ++l) {
     const LayerStep& s = m.plan.layers[l];
     // Per-layer plan reuse: the aggregation keys into the same PlanCache
@@ -899,12 +755,11 @@ void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
     // one autotuned plan. The lease pins it for the layer's duration.
     const PlanKey key{m.plan.graph_key, dev.name, s.spmm_width, s.reduce};
     const PlanLease lease = plan_cache_.acquire(key, a, dev);
-    (lease.hit() ? layer_hits : layer_misses) += 1;
-    if (!lease.hit()) build_total_ms += lease->build_ms;
-    algo = lease->algo;
-    last_steps = lease->steps;
+    (lease.hit() ? charge.hits : charge.misses) += 1;
+    if (!lease.hit()) charge.build_ms += lease->build_ms;
+    last = lease.plan();
     const LayerCost lc = price_layer(s, a.rows, lease->modelled_ms, cost);
-    fused_ms += lc.fused_ms;
+    charge.exec_ms += lc.fused_ms;
     composed_ms += lc.composed_ms;
 
     DenseMatrix out = arena.take(a.rows, s.out_width);
@@ -913,53 +768,16 @@ void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
     h = std::move(out);
   }
 
-  // Account before fulfilling, like execute_batch: the device's clock
-  // advances by the *fused* pass time — that is what serving pays.
-  double completed_at = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DeviceServeStats& ds = stats_.devices[device_index];
-    ds.requests += 1;
-    ds.batches += 1;
-    // Cold layer plans charge their selection cost on top of the fused
-    // pass (0 under Predict); kept out of res.modelled_ms, which stays
-    // the fused execution time.
-    ds.modelled_ms += fused_ms + build_total_ms;
-    completed_at = ds.modelled_ms;
-    virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
-    ds.plan_cache_hits += layer_hits;
-    ds.plan_cache_misses += layer_misses;
-    stats_.completed += 1;
-    stats_.batches += 1;
-    stats_.plan_cache_hits += layer_hits;
-    stats_.plan_cache_misses += layer_misses;
-    stats_.modelled_ms += fused_ms + build_total_ms;
-    stats_.plan_build_ms += build_total_ms;
-    stats_.fused_saved_ms += composed_ms - fused_ms;
-    TenantServeStats& ts = stats_.tenants[state->tenant];
-    ++ts.completed;
-    ts.served_width += static_cast<std::uint64_t>(state->sched_width);
-    if (state->deadline_ms > 0.0 && completed_at > state->deadline_ms) {
-      ++stats_.deadline_missed;
-    }
-  }
-
-  RequestResult res;
-  res.status = RequestStatus::Ok;
-  res.priority = state->priority;
-  res.tenant = state->tenant_name;
+  const double completed_at =
+      account({&state, 1}, {charge}, 0.0, 0, composed_ms - charge.exec_ms);
+  RequestResult res = finished_result(*state, completed_at);
   res.c = std::move(h);
-  res.algo = algo;
-  res.plan_steps = std::move(last_steps);
+  res.algo = last->algo;
+  res.plan_steps = last->steps;
   res.device = dev.name;
-  res.modelled_ms = fused_ms;
+  res.modelled_ms = charge.exec_ms;
   res.composed_ms = composed_ms;
-  res.completed_at_ms = completed_at;
-  res.deadline_ms = state->deadline_ms;
-  res.deadline_met =
-      state->deadline_ms <= 0.0 || completed_at <= state->deadline_ms;
-  res.plan_cache_hit = layer_misses == 0;
-  res.batch_size = 1;
+  res.plan_cache_hit = charge.misses == 0;
   res.model_layers = static_cast<int>(m.plan.layers.size());
   state->fulfill(std::move(res));
 }

@@ -24,15 +24,16 @@
 ///     share — see scheduler.hpp), coalescing same-graph same-reduce
 ///     same-tenant requests into one multi-feature SpMM and
 ///     round-robining batches across the configured simulated devices;
-///  4. each batch executes through a `PlanCache`d kernel plan (LRU-
-///     bounded, pinned while the batch is in flight): values are computed
-///     on the host (bitwise identical to per-request `gespmm::spmm`,
-///     column order is preserved), device time is the plan's
-///     block-sampled modelled time. A batch on a *sharded* graph runs
-///     scatter/gather instead: every shard's slice executes on its own
-///     device in parallel (each with its own shard-qualified plan), halo
-///     rows of B are priced as a modelled interconnect gather, and the
-///     merged output is bitwise identical to the unsharded kernel;
+///  4. each batch executes over a list of *row parts*, each through its
+///     own `PlanCache`d kernel plan (LRU-bounded, pinned while the part
+///     runs): an unsharded graph is one part covering every row on the
+///     round-robin device; a *sharded* graph is one part per shard, each
+///     on its own device with a shard-qualified plan, paying a modelled
+///     interconnect gather for its halo rows of B. Values are computed on
+///     the host into each part's rows of the output (bitwise identical to
+///     per-request `gespmm::spmm`, column order preserved); device time
+///     is the plans' block-sampled modelled time, and the batch completes
+///     when its busiest device does;
 ///  5. `Ticket::wait` blocks for the request's `RequestResult`.
 ///
 /// Model serving (`register_model` / `submit_model`) promotes the unit of
@@ -74,12 +75,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/admission.hpp"
-#include "serve/batch.hpp"
 #include "serve/delta.hpp"
 #include "serve/fingerprint.hpp"
 #include "serve/model_plan.hpp"
@@ -114,7 +115,7 @@ struct ServeOptions {
   std::vector<gpusim::DeviceSpec> devices;
   /// Worker threads draining the queue.
   int num_workers = 2;
-  /// Coalescing limits (see batch.hpp).
+  /// Coalescing limits (see scheduler.hpp).
   BatchConstraints batch;
   /// Plan construction + retention policy (see plan_cache.hpp).
   PlanCacheOptions plan;
@@ -157,8 +158,10 @@ struct SubmitOptions {
   /// Tenant the request bills to; must name an entry of
   /// `ServeOptions::tenants` or `submit` throws std::invalid_argument.
   std::string tenant = "default";
-  /// Absolute virtual-clock completion deadline in ms; 0 = no deadline.
-  /// A request whose deadline is at or before the clock at submit time is
+  /// Absolute virtual-clock completion deadline in ms; a deadline <= 0
+  /// means "no deadline", and a non-finite one (NaN, +-inf) makes
+  /// `submit` / `submit_model` throw std::invalid_argument. A request whose
+  /// deadline is at or before the clock at submit time is
   /// shed with `ShedReason::DeadlineExceeded`; one that completes later
   /// than its deadline reports `RequestResult::deadline_met == false`
   /// (completing exactly *at* the deadline counts as met).
@@ -295,8 +298,10 @@ struct RequestState {
   std::uint64_t graph_key = 0;
   std::uint64_t seq = 0;
   std::shared_ptr<const Csr> graph;
-  /// Pending edge overlay snapshot (nullptr when the graph is clean);
-  /// execute_batch merges its touched rows over the base kernel's output.
+  /// Pending edge overlay snapshot (nullptr when the graph is clean). The
+  /// unsharded graph's single row part carries it, and execute_batch
+  /// patches its touched rows over the base kernel's output; shard slices
+  /// already hold the effective rows, so shard parts ignore it.
   std::shared_ptr<const DeltaOverlay> overlay;
   /// Set when the graph is sharded: the execution plan for the scatter/
   /// gather path.
@@ -439,6 +444,7 @@ struct EngineStats {
   /// Total modelled interconnect time gathering halo rows of B for shard
   /// launches (ms); included in `modelled_ms`.
   double gather_ms = 0.0;
+  /// Sums of the `DeviceServeStats` rows' plan-cache hits and misses.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
   /// Modelled device time spent *selecting* kernels on cold plan misses —
@@ -599,23 +605,46 @@ class Engine {
     std::uint64_t current_key = 0;  // fp.key() (cached)
   };
 
+  /// One device's share of an executed batch, charged by `account`.
+  struct DeviceCharge {
+    std::size_t device = 0;
+    /// Modelled kernel time, plus the halo gather for a shard part.
+    double exec_ms = 0.0;
+    /// Selection cost of the cold plans among `misses`.
+    double build_ms = 0.0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
   void worker_loop();
+  /// Run one coalesced SpMM batch over its row parts: the whole graph on
+  /// `device_index`, or every shard of a sharded graph on its own device.
   void execute_batch(std::vector<std::shared_ptr<detail::RequestState>> batch,
                      std::size_t device_index);
-  void execute_sharded_batch(
-      std::vector<std::shared_ptr<detail::RequestState>> batch);
   void execute_model(std::shared_ptr<detail::RequestState> state,
                      std::size_t device_index);
-  /// Tenant index for `name`; throws std::invalid_argument when unknown.
-  std::uint32_t tenant_index(const std::string& name) const;
+  /// Fill the request's submission options, then admit it into the
+  /// scheduler or shed it (completing its ticket at once). The caller has
+  /// validated and snapshotted `state` under `lock` (held on mu_), which
+  /// this releases before waking a worker or fulfilling a shed ticket.
+  /// Throws std::invalid_argument for an unknown tenant or a non-finite
+  /// deadline, std::runtime_error after shutdown.
+  Ticket enqueue_or_shed(std::shared_ptr<detail::RequestState> state,
+                         const SubmitOptions& options,
+                         std::unique_lock<std::mutex> lock);
+  /// Charge an executed batch to the device clocks and engine counters
+  /// under mu_; returns its completion stamp (the busiest charged
+  /// device's clock).
+  double account(std::span<const std::shared_ptr<detail::RequestState>> batch,
+                 const std::vector<DeviceCharge>& charges, double gather_ms,
+                 std::uint64_t shard_launches, double fused_saved_ms);
+  /// Per-device CSR residency budget (see ShardingOptions).
+  std::size_t device_capacity() const;
   /// The effective CSR of `g` (base with any overlay folded in). Call
   /// under mu_; O(nnz) when an overlay is resident.
   static std::shared_ptr<const Csr> effective_graph(const RegisteredGraph& g);
 
   ServeOptions opt_;
-  /// Tenant contracts in sorted-name order (index = scheduler tenant id).
-  std::vector<std::string> tenant_names_;
-  std::vector<TenantConfig> tenant_cfgs_;
   PlanCache plan_cache_;
 
   mutable std::mutex mu_;

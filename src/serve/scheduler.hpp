@@ -23,7 +23,8 @@
 /// interactive before batch before best-effort, FIFO inside a class.
 /// Batches still only coalesce same-reduce requests (column independence
 /// requires one semiring per kernel launch); incompatible requests are
-/// skipped, not blocked, exactly like the v1 policy in batch.hpp.
+/// skipped, not blocked, so a compatible request may ride along from
+/// behind them.
 /// Requests from different tenants never share a batch — their queues are
 /// distinct — so per-tenant served-width accounting stays exact.
 ///
@@ -34,6 +35,7 @@
 /// threaded by design; the engine guards it with its queue lock.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -41,9 +43,19 @@
 #include <vector>
 
 #include "serve/admission.hpp"
-#include "serve/batch.hpp"
+#include "serve/plan_cache.hpp"
 
 namespace gespmm::serve {
+
+/// Coalescing limits.
+struct BatchConstraints {
+  /// Widest dense matrix a single batch may accumulate. Bounds both the
+  /// coalesced B's footprint and per-request latency; a request wider
+  /// than this still runs, alone.
+  index_t max_batch_n = 256;
+  /// Most requests one batch may carry (bounds result-splitting work).
+  std::size_t max_batch_requests = 16;
+};
 
 /// Which policy picks the next batch.
 enum class SchedulePolicy {

@@ -14,10 +14,8 @@
 namespace gespmm {
 namespace {
 
-using serve::BatchConstraints;
 using serve::Engine;
 using serve::GraphId;
-using serve::RequestShape;
 using serve::ServeOptions;
 using serve::Ticket;
 
@@ -125,32 +123,6 @@ TEST(Fingerprint, RowLengthBucketBoundaryGoldens) {
   const Csr stair = sparse::csr_from_triplets(4, 16, r, c, v);
   EXPECT_EQ(serve::fingerprint(stair).histogram_hash, 0xe095d61fb44338bfull);
   EXPECT_EQ(serve::fingerprint(stair).key(), 0x146e335994fc747dull);
-}
-
-TEST(BatchPlanner, CoalescesSameGraphWithinLimits) {
-  const std::uint64_t g1 = 11, g2 = 22;
-  const auto sum = kernels::ReduceKind::Sum;
-  const auto max = kernels::ReduceKind::Max;
-  BatchConstraints lim;
-  lim.max_batch_n = 96;
-  lim.max_batch_requests = 3;
-
-  // Anchor g1; the g2 request is skipped, later g1 requests ride along up
-  // to the width cap (32+32+16 = 80 <= 96; the final 32 would exceed the
-  // request cap anyway).
-  std::vector<RequestShape> q = {{g1, 32, sum}, {g2, 32, sum}, {g1, 32, sum},
-                                 {g1, 16, sum}, {g1, 32, sum}};
-  EXPECT_EQ(serve::plan_batch(q, lim), (std::vector<std::size_t>{0, 2, 3}));
-
-  // Differing reductions never coalesce.
-  std::vector<RequestShape> mixed = {{g1, 32, sum}, {g1, 32, max}, {g1, 32, sum}};
-  EXPECT_EQ(serve::plan_batch(mixed, lim), (std::vector<std::size_t>{0, 2}));
-
-  // A request wider than max_batch_n still ships, alone.
-  std::vector<RequestShape> wide = {{g1, 256, sum}, {g1, 8, sum}};
-  EXPECT_EQ(serve::plan_batch(wide, lim), (std::vector<std::size_t>{0}));
-
-  EXPECT_TRUE(serve::plan_batch(std::vector<RequestShape>{}, lim).empty());
 }
 
 TEST(ServeEngine, RegisterDedupsIdenticalGraphs) {

@@ -182,6 +182,47 @@ TEST(SchedulerFifo, ServesHotBacklogBeforeColdGraph) {
   EXPECT_EQ(s.stats()[1].deferred, 0u);  // FIFO never defers
 }
 
+TEST(SchedulerFifo, CoalescesSameGraphWithinLimits) {
+  // The coalescing rule itself: the oldest request anchors; later
+  // requests on its graph with its reduce join while the summed width
+  // stays within max_batch_n and the count within max_batch_requests.
+  // Incompatible requests are skipped, not blocked.
+  const std::uint64_t g1 = 11, g2 = 22;
+  BatchConstraints lim;
+  lim.max_batch_n = 96;
+  lim.max_batch_requests = 3;
+  SchedulerOptions opt;
+  opt.policy = SchedulePolicy::Fifo;
+  const auto drain = [&](const std::vector<SchedRequest>& q) {
+    Scheduler s(opt, lim);
+    for (const SchedRequest& r : q) s.enqueue(r);
+    std::vector<std::vector<std::uint64_t>> batches;
+    while (!s.empty()) batches.push_back(s.next_batch());
+    return batches;
+  };
+  using Batches = std::vector<std::vector<std::uint64_t>>;
+  const auto sum = ReduceKind::Sum;
+  const auto max = ReduceKind::Max;
+
+  // Anchor g1; the g2 request is skipped, and so is seq 3, which would
+  // overflow the width cap (32+48+32 > 96) — seq 4 rides along from
+  // behind it (32+48+16 = 96).
+  EXPECT_EQ(drain({{0, g1, 32, sum}, {1, g2, 32, sum}, {2, g1, 48, sum},
+                   {3, g1, 32, sum}, {4, g1, 16, sum}}),
+            (Batches{{0, 2, 4}, {1}, {3}}));
+
+  // Differing reductions never coalesce.
+  EXPECT_EQ(drain({{0, g1, 32, sum}, {1, g1, 32, max}, {2, g1, 32, sum}}),
+            (Batches{{0, 2}, {1}}));
+
+  // A request wider than max_batch_n still ships, alone.
+  EXPECT_EQ(drain({{0, g1, 256, sum}, {1, g1, 8, sum}}), (Batches{{0}, {1}}));
+
+  // An empty queue yields an empty batch.
+  Scheduler empty(opt, lim);
+  EXPECT_TRUE(empty.next_batch().empty());
+}
+
 TEST(SchedulerDrr, PriorityOrdersWithinGraphAndReduceStillGates) {
   BatchConstraints lim;  // defaults: 256 wide, 16 requests
   Scheduler s(drr_opts(64), lim);

@@ -169,6 +169,33 @@ TEST(DeadlineEngine, CompletingExactlyAtDeadlineIsMet) {
 // ---------------------------------------------------------------------------
 // Tenant roster validation.
 
+TEST(DeadlineEngine, NonFiniteDeadlinesThrowOnBothEntryPoints) {
+  // A NaN deadline would pass admission (every comparison is false) yet
+  // report deadline_met == false without counting in deadline_missed;
+  // +-inf has no meaning on the virtual clock. All three are caller
+  // errors on both entry points, and nothing is admitted or shed.
+  Engine eng(det_opts());
+  const Csr a = sparse::uniform_random(128, 128, 1024, 640);
+  const GraphId id = eng.register_graph(a);
+  const serve::ModelId mid = eng.register_model(
+      id, serve::make_model_spec(serve::ServedModelKind::Gcn, 8, 8, 4, 2));
+  for (const double deadline : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)eng.submit(id, features(a.cols, 8, 641),
+                                  {.deadline_ms = deadline}),
+                 std::invalid_argument)
+        << "deadline " << deadline;
+    EXPECT_THROW((void)eng.submit_model(mid, features(a.rows, 8, 642),
+                                        {.deadline_ms = deadline}),
+                 std::invalid_argument)
+        << "deadline " << deadline;
+  }
+  const auto st = eng.stats();
+  EXPECT_EQ(st.submitted, 0u);
+  EXPECT_EQ(st.shed, 0u);
+}
+
 TEST(Tenancy, UnknownTenantThrowsInvalidArgument) {
   Engine eng(det_opts());  // roster: {"default"}
   const Csr a = testutil::zoo_empty_rows();
